@@ -3,16 +3,12 @@
 //! vehicle set. Vehicles are embarrassingly parallel (the paper trains
 //! per vehicle), so throughput should scale until the core count or the
 //! per-vehicle generation cost dominates.
-//!
-//! A second group pits the lock-free chunked scheduler against the
-//! retained mutex-queue baseline on identical work, so a scheduler
-//! regression shows up as a ratio rather than an absolute number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use vup_bench::{evaluable_ids, small_fleet};
-use vup_core::fleet_eval::{evaluate_fleet, evaluate_fleet_mutex_baseline};
+use vup_core::fleet_eval::evaluate_fleet;
 use vup_core::{ModelSpec, PipelineConfig};
 use vup_ml::RegressorSpec;
 
@@ -47,52 +43,5 @@ fn bench_fleet_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lock-free chunked dispatch vs. the old mutex-guarded work queue, same
-/// fleet, same vehicle set, same thread counts.
-fn bench_scheduler_comparison(c: &mut Criterion) {
-    let fleet = small_fleet(120);
-    let config = PipelineConfig {
-        model: ModelSpec::Learned(RegressorSpec::lasso_paper()),
-        retrain_every: 30,
-        eval_tail: Some(120),
-        ..PipelineConfig::default()
-    };
-    let ids = evaluable_ids(&fleet, &config, config.scenario, 12);
-
-    let mut group = c.benchmark_group("scheduler");
-    group.sample_size(10);
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("lock_free", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(evaluate_fleet(
-                        black_box(&fleet),
-                        black_box(&ids),
-                        &config,
-                        threads,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("mutex_baseline", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(evaluate_fleet_mutex_baseline(
-                        black_box(&fleet),
-                        black_box(&ids),
-                        &config,
-                        threads,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_fleet_parallel, bench_scheduler_comparison);
+criterion_group!(benches, bench_fleet_parallel);
 criterion_main!(benches);

@@ -20,11 +20,6 @@
 //! thread count or scheduling, and slot `i` always holds task `i`'s
 //! result, so the returned vector is identical for any thread count.
 //!
-//! A mutex-based scheduler with the same contract is kept in
-//! [`run_chunked_mutex_baseline`] purely as the benchmark baseline; it
-//! mirrors the design this executor replaced (shared cursor mutex plus a
-//! results mutex with a final sort).
-//!
 //! **Observability.** [`run_chunked_observed`] is the same scheduler with
 //! a per-worker stats side channel: each worker counts its claimed chunks
 //! and executed tasks locally (plain `u64`s, no shared state on the hot
@@ -551,55 +546,6 @@ where
     (results, summary)
 }
 
-/// The pre-refactor scheduler, kept only so benchmarks can compare it
-/// against [`run_chunked`]: a mutex-guarded cursor for dispatch and a
-/// mutex-guarded result vector that must be sorted afterwards.
-pub fn run_chunked_mutex_baseline<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
-    task: F,
-) -> Vec<TaskResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if n_tasks == 0 {
-        return Vec::new();
-    }
-    let n_threads = effective_threads(n_threads, n_tasks);
-
-    let cursor: Mutex<usize> = Mutex::new(0);
-    let results: Mutex<Vec<(usize, TaskResult<T>)>> = Mutex::new(Vec::with_capacity(n_tasks));
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|| loop {
-                let start = {
-                    let mut next = cursor.lock().expect("cursor lock");
-                    if *next >= n_tasks {
-                        break;
-                    }
-                    let start = *next;
-                    *next = (*next + chunk_size).min(n_tasks);
-                    start
-                };
-                let end = (start + chunk_size).min(n_tasks);
-                for i in start..end {
-                    let result = catch_unwind(AssertUnwindSafe(|| task(i)))
-                        .map_err(|payload| panic_message(&*payload));
-                    results.lock().expect("results lock").push((i, result));
-                }
-            });
-        }
-    });
-
-    let mut collected = results.into_inner().expect("results lock");
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -677,17 +623,6 @@ mod tests {
     fn zero_tasks_returns_empty() {
         let results: Vec<TaskResult<u8>> = run_tasks(0, 4, |_| unreachable!());
         assert!(results.is_empty());
-        let results: Vec<TaskResult<u8>> = run_chunked_mutex_baseline(0, 4, 8, |_| unreachable!());
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn mutex_baseline_matches_lock_free_results() {
-        let a = run_chunked(50, 4, 4, |i| i as u64 * 3);
-        let b = run_chunked_mutex_baseline(50, 4, 4, |i| i as u64 * 3);
-        let a: Vec<u64> = a.into_iter().map(|r| r.unwrap()).collect();
-        let b: Vec<u64> = b.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

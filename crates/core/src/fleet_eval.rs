@@ -15,7 +15,7 @@ use vup_ml::MlError;
 use vup_obs::{FleetMonitor, Registry, SpanCtx, Tracer};
 
 use crate::config::PipelineConfig;
-use crate::evaluate::{evaluate_vehicle, VehicleEvaluation};
+use crate::evaluate::VehicleEvaluation;
 use crate::executor;
 use crate::view::VehicleView;
 
@@ -181,24 +181,6 @@ pub fn monitor_fleet_evaluation(
     }
 }
 
-/// [`evaluate_fleet`] dispatched on the pre-refactor mutex scheduler.
-///
-/// Retained only so `crates/bench/benches/fleet_parallel.rs` can compare
-/// scheduler overhead; use [`evaluate_fleet`] everywhere else.
-pub fn evaluate_fleet_mutex_baseline(
-    fleet: &Fleet,
-    ids: &[VehicleId],
-    config: &PipelineConfig,
-    n_threads: usize,
-) -> FleetEvaluation {
-    let results = executor::run_chunked_mutex_baseline(ids.len(), n_threads, 1, |i| {
-        let id = ids[i];
-        let view = VehicleView::build(fleet, id, config.scenario);
-        evaluate_vehicle(&view, config)
-    });
-    assemble(ids, results)
-}
-
 /// Evaluation core with an injectable per-vehicle function, used by the
 /// public entry points and by tests that need to inject failures. The
 /// `eval` callback receives the vehicle's `evaluate_vehicle` span context
@@ -282,6 +264,7 @@ fn assemble(
 mod tests {
     use super::*;
     use crate::config::ModelSpec;
+    use crate::evaluate::evaluate_vehicle;
     use vup_fleetsim::fleet::FleetConfig;
     use vup_ml::baseline::BaselineSpec;
     use vup_ml::RegressorSpec;
@@ -369,16 +352,6 @@ mod tests {
             let eval = evaluate_fleet(&fleet, &ids, &cfg, threads);
             assert_identical(&reference, &eval, &format!("stress run {run}"));
         }
-    }
-
-    #[test]
-    fn mutex_baseline_agrees_with_lock_free_scheduler() {
-        let fleet = Fleet::generate(FleetConfig::small(6, 17));
-        let ids: Vec<VehicleId> = (0..6).map(VehicleId).collect();
-        let cfg = baseline_config();
-        let a = evaluate_fleet(&fleet, &ids, &cfg, 4);
-        let b = evaluate_fleet_mutex_baseline(&fleet, &ids, &cfg, 4);
-        assert_identical(&a, &b, "lock-free vs mutex baseline");
     }
 
     #[test]

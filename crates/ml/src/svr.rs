@@ -161,7 +161,7 @@ impl Svr {
     }
 }
 
-struct SmoState<'a> {
+struct SmoState {
     k: Matrix,
     /// 2n dual variables: `a[p]` for p < n is α, for p ≥ n is α*.
     a: Vec<f64>,
@@ -169,10 +169,9 @@ struct SmoState<'a> {
     g: Vec<f64>,
     n: usize,
     c: f64,
-    _targets: &'a [f64],
 }
 
-impl SmoState<'_> {
+impl SmoState {
     /// Constraint sign of variable `p`.
     #[inline]
     fn sign(&self, p: usize) -> f64 {
@@ -189,25 +188,52 @@ impl SmoState<'_> {
         self.sign(p) * self.sign(q) * self.k[(p % self.n, q % self.n)]
     }
 
-    /// Maximal-violating-pair selection. Returns `None` at optimality.
+    /// Runs SMO until no pair violates the KKT conditions by `tol` or
+    /// `max_iter` pairs have been updated; returns the iteration count and
+    /// whether it converged.
+    fn solve(&mut self, tol: f64, max_iter: usize) -> (usize, bool) {
+        for iterations in 0..max_iter {
+            match self.select_pair(tol) {
+                Some((i, j)) => self.update_pair(i, j),
+                None => return (iterations, true),
+            }
+        }
+        (max_iter, false)
+    }
+
+    /// Maximal-violating-pair selection over `v_p = −s_p G_p`. Returns
+    /// `None` at optimality.
+    ///
+    /// Scans the α half (`s = +1`: up while `a < C`, low while `a > 0`),
+    /// then the α* half (`s = −1`: up while `a > 0`, low while `a < C`),
+    /// keeping the first strict extremum in index order.
     fn select_pair(&self, tol: f64) -> Option<(usize, usize)> {
-        let two_n = 2 * self.n;
+        let (n, c) = (self.n, self.c);
+        let (a_alpha, a_star) = self.a.split_at(n);
+        let (g_alpha, g_star) = self.g.split_at(n);
         let mut i = usize::MAX;
         let mut m_up = f64::NEG_INFINITY;
         let mut j = usize::MAX;
         let mut m_low = f64::INFINITY;
-        for p in 0..two_n {
-            let s = self.sign(p);
-            let v = -s * self.g[p];
-            let in_up = (s > 0.0 && self.a[p] < self.c) || (s < 0.0 && self.a[p] > 0.0);
-            let in_low = (s < 0.0 && self.a[p] < self.c) || (s > 0.0 && self.a[p] > 0.0);
-            if in_up && v > m_up {
+        for (p, (&a, &g)) in a_alpha.iter().zip(g_alpha).enumerate() {
+            let v = -g;
+            if a < c && v > m_up {
                 m_up = v;
                 i = p;
             }
-            if in_low && v < m_low {
+            if a > 0.0 && v < m_low {
                 m_low = v;
                 j = p;
+            }
+        }
+        for (p, (&a, &v)) in a_star.iter().zip(g_star).enumerate() {
+            if a > 0.0 && v > m_up {
+                m_up = v;
+                i = n + p;
+            }
+            if a < c && v < m_low {
+                m_low = v;
+                j = n + p;
             }
         }
         if i == usize::MAX || j == usize::MAX || m_up - m_low < tol {
@@ -219,6 +245,33 @@ impl SmoState<'_> {
 
     /// Analytic two-variable update (LibSVM `Solver::solve` inner step).
     fn update_pair(&mut self, i: usize, j: usize) {
+        let (old_i, old_j) = (self.a[i], self.a[j]);
+        self.clip_pair(i, j);
+        let (di, dj) = (self.a[i] - old_i, self.a[j] - old_j);
+        if di == 0.0 && dj == 0.0 {
+            return;
+        }
+        // Rank-two gradient update `G_p += Q_pi Δa_i + Q_pj Δa_j`. With
+        // `Q_pq = s_p s_q K_pq` the α* half's step is the exact negation
+        // of the α half's (sign flips and round-to-nearest are
+        // symmetric), so one product pair per kernel column serves both.
+        // `K` is stored exactly symmetric, so row `i mod n` is column
+        // `i mod n`.
+        let n = self.n;
+        let (ci, cj) = (self.sign(i) * di, self.sign(j) * dj);
+        let (k_i, k_j) = (self.k.row(i % n), self.k.row(j % n));
+        let (g_alpha, g_star) = self.g.split_at_mut(n);
+        for (((g_a, g_s), &kpi), &kpj) in g_alpha.iter_mut().zip(g_star).zip(k_i).zip(k_j) {
+            let u = kpi * ci + kpj * cj;
+            *g_a += u;
+            *g_s -= u;
+        }
+    }
+
+    /// Moves `a_i`, `a_j` to the analytic optimum of the two-variable
+    /// subproblem, clipped back into the box along the equality
+    /// constraint.
+    fn clip_pair(&mut self, i: usize, j: usize) {
         let c = self.c;
         let (old_i, old_j) = (self.a[i], self.a[j]);
         if self.sign(i) != self.sign(j) {
@@ -270,15 +323,6 @@ impl SmoState<'_> {
                 self.a[j] = sum;
             }
         }
-        // Rank-two gradient update.
-        let (di, dj) = (self.a[i] - old_i, self.a[j] - old_j);
-        if di == 0.0 && dj == 0.0 {
-            return;
-        }
-        let two_n = 2 * self.n;
-        for p in 0..two_n {
-            self.g[p] += self.q(p, i) * di + self.q(p, j) * dj;
-        }
     }
 
     /// LibSVM-style bias recovery: average `s_p G_p` over free variables,
@@ -317,8 +361,14 @@ impl SmoState<'_> {
     }
 }
 
-impl Regressor for Svr {
-    fn fit(&mut self, data: &Dataset) -> Result<()> {
+impl Svr {
+    /// Fits with `solve` running the SMO iterations on the initial state
+    /// (`tol`, `max_iter`) and returning `(iterations, converged)`.
+    fn fit_with(
+        &mut self,
+        data: &Dataset,
+        solve: fn(&mut SmoState, f64, usize) -> (usize, bool),
+    ) -> Result<()> {
         self.params.validate()?;
         let n = data.len();
         if n < 2 {
@@ -342,22 +392,8 @@ impl Regressor for Svr {
             g,
             n,
             c: self.params.c,
-            _targets: y,
         };
-
-        let mut iterations = 0usize;
-        let mut converged = false;
-        while iterations < self.params.max_iter {
-            match state.select_pair(self.params.tol) {
-                Some((i, j)) => state.update_pair(i, j),
-                None => {
-                    converged = true;
-                    break;
-                }
-            }
-            iterations += 1;
-        }
-
+        let (iterations, converged) = solve(&mut state, self.params.tol, self.params.max_iter);
         let bias = state.compute_bias();
 
         // Collect support vectors: β_i = α_i − α*_i ≠ 0.
@@ -385,6 +421,12 @@ impl Regressor for Svr {
             converged,
         });
         Ok(())
+    }
+}
+
+impl Regressor for Svr {
+    fn fit(&mut self, data: &Dataset) -> Result<()> {
+        self.fit_with(data, SmoState::solve)
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64> {
@@ -418,6 +460,67 @@ impl Regressor for Svr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The solver's original element-at-a-time loops, kept as the oracle
+    /// that the split-half loops must match bit for bit.
+    impl SmoState {
+        fn solve_reference(&mut self, tol: f64, max_iter: usize) -> (usize, bool) {
+            let mut iterations = 0usize;
+            let mut converged = false;
+            while iterations < max_iter {
+                match self.select_pair_reference(tol) {
+                    Some((i, j)) => self.update_pair_reference(i, j),
+                    None => {
+                        converged = true;
+                        break;
+                    }
+                }
+                iterations += 1;
+            }
+            (iterations, converged)
+        }
+
+        fn select_pair_reference(&self, tol: f64) -> Option<(usize, usize)> {
+            let two_n = 2 * self.n;
+            let mut i = usize::MAX;
+            let mut m_up = f64::NEG_INFINITY;
+            let mut j = usize::MAX;
+            let mut m_low = f64::INFINITY;
+            for p in 0..two_n {
+                let s = self.sign(p);
+                let v = -s * self.g[p];
+                let in_up = (s > 0.0 && self.a[p] < self.c) || (s < 0.0 && self.a[p] > 0.0);
+                let in_low = (s < 0.0 && self.a[p] < self.c) || (s > 0.0 && self.a[p] > 0.0);
+                if in_up && v > m_up {
+                    m_up = v;
+                    i = p;
+                }
+                if in_low && v < m_low {
+                    m_low = v;
+                    j = p;
+                }
+            }
+            if i == usize::MAX || j == usize::MAX || m_up - m_low < tol {
+                None
+            } else {
+                Some((i, j))
+            }
+        }
+
+        fn update_pair_reference(&mut self, i: usize, j: usize) {
+            let (old_i, old_j) = (self.a[i], self.a[j]);
+            self.clip_pair(i, j);
+            let (di, dj) = (self.a[i] - old_i, self.a[j] - old_j);
+            if di == 0.0 && dj == 0.0 {
+                return;
+            }
+            let two_n = 2 * self.n;
+            for p in 0..two_n {
+                self.g[p] += self.q(p, i) * di + self.q(p, j) * dj;
+            }
+        }
+    }
 
     fn dataset_1d(xs: &[f64], y: &[f64]) -> Dataset {
         let rows: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();
@@ -556,5 +659,81 @@ mod tests {
             svr.fit(&dataset_1d(&[1.0], &[1.0])),
             Err(MlError::NotEnoughSamples { .. })
         ));
+    }
+
+    /// Options the solver proptest draws from: small `C` makes the box
+    /// bind, `ε = 0` and the linear kernel are edge settings, and a short
+    /// iteration cap exercises the unconverged exit.
+    const CS: [f64; 4] = [0.05, 0.5, 1.0, 10.0];
+    const EPSILONS: [f64; 3] = [0.0, 0.05, 0.1];
+    const KERNELS: [Kernel; 3] = [
+        Kernel::Linear,
+        Kernel::Rbf { gamma: 0.2 },
+        Kernel::Rbf { gamma: 1.0 },
+    ];
+    const MAX_ITERS: [usize; 2] = [100_000, 7];
+
+    /// `(iterations, converged, bias, β, support rows)` as exact bits;
+    /// the support rows are folded into an FNV-1a digest.
+    fn fitted_bits(svr: &Svr) -> (usize, bool, u64, Vec<u64>, u64) {
+        let f = svr.fitted.as_ref().unwrap();
+        let support = f
+            .support
+            .as_slice()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        (
+            f.iterations,
+            f.converged,
+            f.bias.to_bits(),
+            f.beta.iter().map(|b| b.to_bits()).collect(),
+            support,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The split-half solver matches the element-at-a-time reference
+        /// bit for bit: β, bias, iteration count, convergence and support
+        /// rows. Rows are drawn from a pool that may be smaller than `n`
+        /// and targets from a coarse grid, so duplicated rows and equal
+        /// gradients put ties into the pair selection.
+        #[test]
+        fn prop_solver_matches_reference_bit_for_bit(
+            n in 2usize..80,
+            cols in 1usize..8,
+            pool in 1usize..80,
+            picks in proptest::collection::vec(0usize..80, 80),
+            values in proptest::collection::vec(-2.0_f64..2.0, 80 * 8),
+            steps in proptest::collection::vec(-8i32..8, 80),
+            coarse in any::<bool>(),
+            setting in (0usize..4, 0usize..3, 0usize..3, 0usize..2),
+        ) {
+            let rows: Vec<&[f64]> = picks[..n]
+                .iter()
+                .map(|&r| &values[(r % pool) * cols..(r % pool + 1) * cols])
+                .collect();
+            let y: Vec<f64> = steps[..n]
+                .iter()
+                .zip(&values)
+                .map(|(&s, &v)| if coarse { f64::from(s) / 4.0 } else { v * 3.0 })
+                .collect();
+            let data = Dataset::new(Matrix::from_rows(&rows).unwrap(), y).unwrap();
+            let params = SvrParams {
+                c: CS[setting.0],
+                epsilon: EPSILONS[setting.1],
+                kernel: KERNELS[setting.2],
+                max_iter: MAX_ITERS[setting.3],
+                ..SvrParams::default()
+            };
+            let mut fast = Svr::new(params.clone());
+            fast.fit(&data).unwrap();
+            let mut reference = Svr::new(params);
+            reference.fit_with(&data, SmoState::solve_reference).unwrap();
+            prop_assert_eq!(fitted_bits(&fast), fitted_bits(&reference));
+        }
     }
 }
