@@ -9,7 +9,6 @@
 //! reproduce the ordering, not the absolute Python-era seconds.
 //!
 //! Run with: `cargo run --release -p vup-bench --bin time_table`
-//! (Criterion microbenches of the same quantities: `cargo bench -p vup-bench`.)
 
 use std::time::Instant;
 

@@ -9,8 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod perf;
-
 use std::path::PathBuf;
 
 use serde::Serialize;

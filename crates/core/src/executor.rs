@@ -32,98 +32,42 @@
 //! `executor_worker` span under a caller-supplied [`SpanCtx`]; with a
 //! disabled context the spans are no-ops and, again, no clock is read.
 //!
-//! **Cancellation.** [`run_chunked_cancellable`] threads a
-//! [`CancelToken`] through the dispatch loop: workers re-check it before
-//! every chunk claim, so a manual trip or an expired wall-clock deadline
-//! stops the run at the next claim boundary and fills every unclaimed
-//! slot with `Err(`[`CANCELLED_TASK`]`)`. The never-token used by all
-//! other entry points keeps the check to one discriminant read.
+//! **Shutdown.** [`CancelToken`] is the shared stop flag the daemon's
+//! accept loop, its workers and the SIGTERM watcher poll; the executor
+//! itself always runs every task it is given.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vup_obs::{Counter, Gauge, Registry, SpanCtx};
 
 /// Outcome of one task: its value, or the captured panic message.
 pub type TaskResult<T> = std::result::Result<T, String>;
 
-/// Error message filled into the slots of tasks a cancelled run never
-/// claimed (see [`CancelToken`]).
-pub const CANCELLED_TASK: &str = "cancelled before execution";
-
-/// Cooperative cancellation for executor runs.
-///
-/// Workers check the token between chunk claims: once it reports
-/// cancelled, no *new* chunk is claimed (tasks already in flight finish
-/// normally) and every unclaimed slot comes back as
-/// `Err(`[`CANCELLED_TASK`]`)`. Two trip conditions exist:
-///
-/// - **manual** — [`CancelToken::cancel`] flips a shared flag;
-/// - **deadline** — a token built with [`CancelToken::with_deadline`]
-///   additionally trips once the wall clock passes the deadline.
-///
-/// [`CancelToken::never`] (also the `Default`) holds nothing: checks are
-/// a single `Option` discriminant read and **never touch the clock**, so
-/// the plain entry points keep the executor's clock-free guarantee.
+/// A shared, cloneable stop flag: [`CancelToken::cancel`] trips it for
+/// every clone, and [`CancelToken::is_cancelled`] is one atomic load.
 #[derive(Clone, Default)]
 pub struct CancelToken {
-    inner: Option<Arc<CancelInner>>,
-}
-
-struct CancelInner {
-    flag: AtomicBool,
-    deadline: Option<Instant>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// A live token that only trips when [`CancelToken::cancel`] is
-    /// called.
+    /// A token that has not tripped.
     pub fn new() -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// A token that can never trip; checks are clock-free no-ops.
-    pub fn never() -> CancelToken {
         CancelToken::default()
-    }
-
-    /// A live token that additionally trips once `budget` of wall-clock
-    /// time has elapsed from now. Checking such a token reads the clock.
-    pub fn with_deadline(budget: Duration) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                deadline: Some(Instant::now() + budget),
-            })),
-        }
     }
 
     /// Trips the token; every subsequent check reports cancelled.
     pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flag.store(true, Ordering::Release);
-        }
+        self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has tripped (manually, or by passing its
-    /// deadline). Always `false` for [`CancelToken::never`], with no
-    /// clock read.
+    /// Whether the token has tripped.
     pub fn is_cancelled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.flag.load(Ordering::Acquire)
-                    || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            }
-        }
+        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -411,41 +355,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_chunked_cancellable(
-        n_tasks,
-        n_threads,
-        chunk_size,
-        task,
-        metrics,
-        parent,
-        &CancelToken::never(),
-    )
-}
-
-/// [`run_chunked_traced`] with a deadline-aware cancellation check:
-/// workers consult `cancel` before every chunk claim (and, on the
-/// single-threaded fast path, before every task), so a tripped token —
-/// manual or wall-clock deadline — stops the run at the next claim
-/// boundary. Tasks already in flight complete; every task that was never
-/// claimed yields `Err(`[`CANCELLED_TASK`]`)` in its slot, and
-/// `tasks_run` in the summary counts only the tasks that actually
-/// executed. With [`CancelToken::never`] this is exactly
-/// [`run_chunked_traced`]: one extra discriminant read per claim, no
-/// clock access.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chunked_cancellable<T, F>(
-    n_tasks: usize,
-    n_threads: usize,
-    chunk_size: usize,
-    task: F,
-    metrics: &ExecutorMetrics,
-    parent: &SpanCtx,
-    cancel: &CancelToken,
-) -> (Vec<TaskResult<T>>, RunSummary)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     assert!(chunk_size > 0, "chunk_size must be positive");
     if n_tasks == 0 {
         let summary = RunSummary::default();
@@ -463,20 +372,11 @@ where
         // Same semantics (per-task panic isolation), no thread overhead.
         let mut span = parent.child("executor_worker");
         let started = timed.then(Instant::now);
-        let mut executed = 0usize;
-        let results: Vec<TaskResult<T>> = (0..n_tasks)
-            .map(|i| {
-                if cancel.is_cancelled() {
-                    return Err(CANCELLED_TASK.to_string());
-                }
-                executed += 1;
-                run_one(i)
-            })
-            .collect();
+        let results: Vec<TaskResult<T>> = (0..n_tasks).map(run_one).collect();
         let summary = RunSummary {
             workers: vec![WorkerStats {
-                chunks_claimed: executed.div_ceil(chunk_size) as u64,
-                tasks_run: executed as u64,
+                chunks_claimed: n_tasks.div_ceil(chunk_size) as u64,
+                tasks_run: n_tasks as u64,
                 busy_nanos: started.map_or(0, elapsed_nanos),
                 idle_nanos: 0,
             }],
@@ -500,9 +400,6 @@ where
                 let worker_started = timed.then(Instant::now);
                 let mut stats = WorkerStats::default();
                 loop {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
                     let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
                     if start >= n_tasks {
                         break;
@@ -538,10 +435,9 @@ where
 
     let results = slots
         .into_values()
-        // Every claimed slot was filled before its worker was joined; an
-        // empty slot means the run was cancelled before the index was
-        // ever claimed.
-        .map(|slot| slot.unwrap_or_else(|| Err(CANCELLED_TASK.to_string())))
+        // Workers claim until the cursor passes n_tasks, and every
+        // claimed slot was filled before its worker was joined.
+        .map(|slot| slot.expect("every task slot is filled"))
         .collect();
     (results, summary)
 }
@@ -765,103 +661,6 @@ mod tests {
         assert_eq!(results.len(), 16);
         assert_eq!(summary.busy_nanos(), 0);
         assert_eq!(summary.idle_nanos(), 0);
-    }
-
-    #[test]
-    fn never_token_matches_the_plain_run_bit_for_bit() {
-        for threads in [1usize, 4] {
-            let plain = run_chunked(60, threads, 3, |i| i * 7);
-            let (cancellable, summary) = run_chunked_cancellable(
-                60,
-                threads,
-                3,
-                |i| i * 7,
-                &ExecutorMetrics::disabled(),
-                &SpanCtx::disabled(),
-                &CancelToken::never(),
-            );
-            let a: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
-            let b: Vec<usize> = cancellable.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(a, b, "threads = {threads}");
-            assert_eq!(summary.tasks_run(), 60);
-            // A never-token run stays clock-free.
-            assert_eq!(summary.busy_nanos(), 0);
-        }
-    }
-
-    #[test]
-    fn pre_tripped_token_cancels_every_unclaimed_task() {
-        let token = CancelToken::new();
-        token.cancel();
-        for threads in [1usize, 4] {
-            let (results, summary) = run_chunked_cancellable(
-                20,
-                threads,
-                2,
-                |_| -> usize { panic!("a cancelled run must not execute tasks") },
-                &ExecutorMetrics::disabled(),
-                &SpanCtx::disabled(),
-                &token,
-            );
-            assert_eq!(results.len(), 20, "threads = {threads}");
-            for r in &results {
-                assert_eq!(r.as_ref().unwrap_err(), CANCELLED_TASK);
-            }
-            assert_eq!(summary.tasks_run(), 0, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_new_claims_but_keeps_finished_work() {
-        // Single-threaded so the trip point is deterministic: task 5
-        // cancels the token, so tasks 0..=5 ran and 6.. were never
-        // claimed.
-        let token = CancelToken::new();
-        let (results, summary) = run_chunked_cancellable(
-            12,
-            1,
-            1,
-            |i| {
-                if i == 5 {
-                    token.cancel();
-                }
-                i * 2
-            },
-            &ExecutorMetrics::disabled(),
-            &SpanCtx::disabled(),
-            &token,
-        );
-        for (i, r) in results.iter().enumerate() {
-            if i <= 5 {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            } else {
-                assert_eq!(r.as_ref().unwrap_err(), CANCELLED_TASK);
-            }
-        }
-        assert_eq!(summary.tasks_run(), 6);
-    }
-
-    #[test]
-    fn expired_deadline_token_reports_cancelled() {
-        let token = CancelToken::with_deadline(Duration::from_nanos(0));
-        assert!(token.is_cancelled());
-        let (results, _) = run_chunked_cancellable(
-            8,
-            2,
-            1,
-            |i| i,
-            &ExecutorMetrics::disabled(),
-            &SpanCtx::disabled(),
-            &token,
-        );
-        assert!(results.iter().all(|r| r.is_err()));
-        // A generous deadline does not trip.
-        let token = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!token.is_cancelled());
-        // The never token cannot trip at all, even after cancel().
-        let never = CancelToken::never();
-        never.cancel();
-        assert!(!never.is_cancelled());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   /v1/predict-batch`, `GET /healthz`, `GET /metrics`;
 //! - [`signal`] — SIGTERM/SIGINT → [`vup_core::executor::CancelToken`]
 //!   bridge via a libc `signal(2)` declaration (std already links libc);
-//! - [`loadgen`] — seeded closed-loop load generator producing the
-//!   `BENCH_serve.json` perf-trajectory record.
+//! - [`loadgen`] — seeded closed-loop load generator producing a JSON
+//!   load report (sustained RPS, latency percentiles, shed counts).
 //!
 //! Determinism boundary: request *outcomes* (forecasts, provenance,
 //! breaker decisions) are deterministic for a given store state and

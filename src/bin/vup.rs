@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use vehicle_usage_prediction::bench::perf::{self, BenchFile, BenchOptions};
 use vehicle_usage_prediction::core::evaluate::evaluate_vehicle;
 use vehicle_usage_prediction::core::fleet_eval::{
     evaluate_fleet_observed, evaluate_fleet_traced, monitor_fleet_evaluation,
@@ -126,7 +125,7 @@ SUBCOMMANDS:
                       --model/--retry-max/--deadline-ms/--fallback/
                       --faults/--store-dir : as for serve-batch
     loadgen    Seeded closed-loop load generator against a running
-               `vup serve`; writes the BENCH_serve.json perf record
+               `vup serve`; writes a JSON load report
                (sustained RPS + exact latency percentiles) and
                strict-parses the server's final /metrics export
                flags: --addr HOST:PORT (required)
@@ -184,30 +183,6 @@ SUBCOMMANDS:
                       --report PATH|- : dump the full replay report
                       (decisions, journal, model digests) as JSON
                       --metrics PATH|- --trace PATH|- --profile PATH|-
-    bench      Run the canonical seeded perf workloads (fleet-eval,
-               warm-store serve-batch, ingest+replay, serve-daemon
-               loadgen) and append one stamped record per workload to
-               the schema-versioned perf trajectories BENCH_core.json /
-               BENCH_ingest.json / BENCH_serve.json, plus a
-               deterministic count-weighted profile per workload
-               (BENCH_profile_<workload>.collapsed / .shape.json)
-               flags: --quick : CI-smoke sizing
-                      --threads T (default 4)
-                      --out-dir DIR (default .)
-                      --no-daemon : skip the socket-binding workload
-                      --shards N (default 1) : route the serve-batch
-                      workload through the shard coordinator; N > 1
-                      stamps a \"shards\" count into the record
-    bench compare
-               Gate NEW against OLD: profile/outcome counts must match
-               exactly, wall-clock metrics may move at most the
-               threshold in the worse direction (*_per_sec and *rps are
-               higher-better); exits nonzero on any regression
-               usage: vup bench compare OLD NEW [--threshold-pct N
-                      (default 10)] [--ignore-counts]
-                      [--assert-improved workload/metric=pct,... :
-                      additionally require NEW to beat OLD by at least
-                      pct percent on each listed metric]
     help       Show this message
 
 Common defaults: --vehicles 50 --seed 7 --id 0
@@ -220,7 +195,7 @@ may write to stdout ('-').
 const REASON_CHARS: usize = 72;
 
 /// Flags that are switches: present means on, they take no value.
-const SWITCH_FLAGS: &[&str] = &["json", "quick", "no-daemon", "ignore-counts"];
+const SWITCH_FLAGS: &[&str] = &["json"];
 
 /// Minimal `--key value` flag parser (no external dependency).
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -1150,7 +1125,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `vup loadgen` — seeded closed-loop load against a running daemon;
-/// writes the `BENCH_serve.json` perf-trajectory record.
+/// writes the JSON load report.
 fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     use vehicle_usage_prediction::net::loadgen::{self, LoadPlan};
 
@@ -1674,110 +1649,6 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `vup bench` — run the canonical seeded workloads and append to the
-/// schema-versioned `BENCH_*.json` perf trajectories.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let options = BenchOptions {
-        quick: flags.contains_key("quick"),
-        threads: flag(flags, "threads", 4)?,
-        out_dir: std::path::PathBuf::from(
-            flags.get("out-dir").cloned().unwrap_or_else(|| ".".into()),
-        ),
-        daemon: !flags.contains_key("no-daemon"),
-        shards: flag(flags, "shards", 1)?,
-    };
-    if options.threads == 0 {
-        return Err("--threads must be positive for bench runs".into());
-    }
-    if options.shards == 0 {
-        return Err("--shards must be positive for bench runs".into());
-    }
-    eprintln!(
-        "bench: {} sizing, {} thread(s), out-dir {}{}",
-        if options.quick { "quick" } else { "full" },
-        options.threads,
-        options.out_dir.display(),
-        if options.daemon {
-            ""
-        } else {
-            ", daemon workload skipped"
-        }
-    );
-    let outcomes = perf::run_all(&options)?;
-    for outcome in &outcomes {
-        let metrics: Vec<String> = outcome
-            .record
-            .metrics
-            .iter()
-            .map(|(name, value)| format!("{name}={value:.2}"))
-            .collect();
-        println!(
-            "{:<13} {}  ({} count(s)) -> {}",
-            outcome.record.workload,
-            metrics.join(" "),
-            outcome.record.counts.len(),
-            outcome.bench_file.display()
-        );
-    }
-    eprintln!(
-        "bench: {} workload(s) appended (rev {}, {})",
-        outcomes.len(),
-        outcomes[0].record.stamp.git_rev,
-        outcomes[0].record.stamp.build_profile
-    );
-    Ok(())
-}
-
-/// `vup bench compare OLD NEW` — the CI perf gate: exits nonzero when
-/// NEW regressed against OLD.
-fn cmd_bench_compare(rest: &[String]) -> Result<(), String> {
-    let usage = "usage: vup bench compare OLD NEW [--threshold-pct N] [--ignore-counts] \
-                 [--assert-improved workload/metric=pct,...]";
-    let [old_path, new_path, tail @ ..] = rest else {
-        return Err(usage.into());
-    };
-    if old_path.starts_with("--") || new_path.starts_with("--") {
-        return Err(usage.into());
-    }
-    let flags = parse_flags(tail)?;
-    let threshold: f64 = flag(&flags, "threshold-pct", 10.0)?;
-    let ignore_counts = flags.contains_key("ignore-counts");
-    let assertions = match flags.get("assert-improved") {
-        Some(spec) => perf::parse_improvement_spec(spec)?,
-        None => Vec::new(),
-    };
-    for path in [old_path, new_path] {
-        if !std::path::Path::new(path).exists() {
-            return Err(format!("bench file '{path}' does not exist"));
-        }
-    }
-    let old = BenchFile::load(std::path::Path::new(old_path))?;
-    let new = BenchFile::load(std::path::Path::new(new_path))?;
-    let report = perf::compare(&old, &new, threshold, ignore_counts);
-    for line in &report.lines {
-        println!("{}", line.rendered);
-    }
-    for workload in &report.missing_workloads {
-        println!("{workload}: WORKLOAD MISSING from '{new_path}'");
-    }
-    let assert_lines = perf::assert_improvements(&old, &new, &assertions);
-    for line in &assert_lines {
-        println!("{}", line.rendered);
-    }
-    let failed_asserts = assert_lines.iter().filter(|l| l.failed).count();
-    if report.ok() && failed_asserts == 0 {
-        println!("bench compare: ok (threshold {threshold}%)");
-        Ok(())
-    } else {
-        Err(format!(
-            "bench compare: {} regression(s) beyond {threshold}% and {} failed \
-             improvement assertion(s) (see lines above)",
-            report.failures().len() + report.missing_workloads.len(),
-            failed_asserts
-        ))
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -1800,13 +1671,6 @@ fn main() -> ExitCode {
         "shard-eval" => match parse_flags(rest) {
             Err(e) => Err(e),
             Ok(flags) => cmd_shard_eval(&flags),
-        },
-        "bench" => match rest.split_first() {
-            Some((sub, tail)) if sub == "compare" => cmd_bench_compare(tail),
-            _ => match parse_flags(rest) {
-                Err(e) => Err(e),
-                Ok(flags) => cmd_bench(&flags),
-            },
         },
         "simulate" | "predict" | "evaluate" | "monitor" | "levels" | "serve-batch" | "serve"
         | "loadgen" | "ingest" | "replay" => match parse_flags(rest) {

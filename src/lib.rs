@@ -42,10 +42,9 @@
 //!   supervisor that degrades and warm-restarts dead shards under the
 //!   seeded fault plan, and atomic snapshot rebalancing when the shard
 //!   count changes;
-//! - [`bench`] — the experiment/benchmark harness behind the paper
-//!   binaries and `vup bench`: canonical seeded workloads, profile-count
-//!   extraction, and the schema-versioned `BENCH_*.json` perf
-//!   trajectories with a threshold-gated `bench compare`.
+//! - [`bench`] — the experiment harness behind the paper binaries: the
+//!   standard experiment fleet, vehicle subsampling and result output.
+//!   The benchmark itself is the standalone `vupbench/` package.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md`
 //! for the experiment index.

@@ -25,9 +25,12 @@ fn no_arguments_fails_with_usage() {
 
 #[test]
 fn unknown_subcommand_and_bad_flags_fail_cleanly() {
-    let out = vup().arg("frobnicate").output().expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+    // `bench` is not a subcommand: the benchmark is vupbench/.
+    for cmd in ["frobnicate", "bench"] {
+        let out = vup().arg(cmd).output().expect("binary runs");
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+    }
 
     let out = vup()
         .args(["predict", "--vehicles"])
@@ -1085,8 +1088,6 @@ fn ingest_and_replay_validate_their_flags() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ---------------------------------------------------------------- bench
-
 /// Mirror of the `vup monitor --json` document (the binary defines its
 /// own serialize-side structs; round-tripping through an independent
 /// mirror pins the wire shape).
@@ -1201,119 +1202,6 @@ fn monitor_json_round_trips_against_the_table_view() {
         doc.summary.stale
     );
     assert_eq!(summary_line, expected);
-}
-
-/// Hand-authors a one-workload bench trajectory file.
-fn bench_file(path: &std::path::Path, wall_ms: f64, rps: f64, fit_count: u64) {
-    let text = format!(
-        r#"{{
-  "schema_version": 1,
-  "entries": [
-    {{
-      "workload": "fleet_eval",
-      "stamp": {{
-        "config_fingerprint": "f",
-        "git_rev": "r",
-        "build_profile": "debug",
-        "threads": 2,
-        "quick": true
-      }},
-      "counts": {{"stage_fit_count": {fit_count}}},
-      "metrics": {{"wall_ms": {wall_ms}, "vehicles_per_sec": {rps}}}
-    }}
-  ]
-}}"#
-    );
-    std::fs::write(path, text).unwrap();
-}
-
-#[test]
-fn bench_compare_gates_regressions_and_passes_self_compare() {
-    let dir = std::env::temp_dir().join(format!("vup_cli_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let old = dir.join("old.json");
-    bench_file(&old, 100.0, 50.0, 10);
-
-    // Self-compare exits zero.
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), old.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("bench compare: ok"));
-
-    // An injected slowdown beyond the threshold exits nonzero, in both
-    // the lower-is-better (wall) and higher-is-better (rps) directions.
-    let slow = dir.join("slow.json");
-    bench_file(&slow, 200.0, 50.0, 10);
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), slow.to_str().unwrap()])
-        .args(["--threshold-pct", "20"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSION"));
-
-    let throughput_drop = dir.join("throughput.json");
-    bench_file(&throughput_drop, 100.0, 20.0, 10);
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), throughput_drop.to_str().unwrap()])
-        .args(["--threshold-pct", "20"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "rps drop must fail higher-is-better");
-
-    // A generous threshold lets the same slowdown pass.
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), slow.to_str().unwrap()])
-        .args(["--threshold-pct", "200"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
-    // Count drift fails at any threshold unless --ignore-counts.
-    let drifted = dir.join("drifted.json");
-    bench_file(&drifted, 100.0, 50.0, 11);
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), drifted.to_str().unwrap()])
-        .args(["--threshold-pct", "1000"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("COUNT DRIFT"));
-    let out = vup()
-        .args(["bench", "compare"])
-        .args([old.to_str().unwrap(), drifted.to_str().unwrap()])
-        .args(["--threshold-pct", "1000", "--ignore-counts"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-
-    // Missing files and bad usage fail cleanly.
-    let out = vup()
-        .args(["bench", "compare", "nope.json"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: vup bench compare"));
-    let out = vup()
-        .args(["bench", "compare", "nope.json", "nada.json"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("does not exist"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
